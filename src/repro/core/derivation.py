@@ -11,9 +11,10 @@ derivability.
 
 Our implementation realizes exactly that plan:
 
-1. **Backward slice** — from each checked tuple, follow
-   :meth:`ProvenanceTable.supporting_rows` (the inverse rules) recursively
-   to collect every provenance-table row and source tuple that could
+1. **Backward slice** — from each checked tuple, follow the compiled
+   inverse rules (``probe`` of each
+   :class:`~repro.provenance.relations.CompiledHead`) recursively to
+   collect every provenance-table row and source tuple that could
    participate in a derivation.
 2. **Grounding** — compute the least fixpoint of "derivable from local
    contributions" *within the slice*: a tuple is grounded iff it is a
@@ -37,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
-from ..provenance.relations import HeadTarget, ProvenanceEncoding, ProvenanceTable
+from ..provenance.relations import ProvenanceEncoding
 from ..provenance.semiring import Token
 from ..schema.internal import LOCAL_RULE_PREFIX, local_name, rejection_name
 from ..storage.database import Database
@@ -76,8 +77,8 @@ class DerivationTest:
         token_filter = self.head_filters.get(LOCAL_RULE_PREFIX + relation)
         return token_filter is None or token_filter(row)
 
-    def _trust_ok(self, head: HeadTarget, row: Row) -> bool:
-        condition = self.head_filters.get(head.trust_label)
+    def _trust_ok(self, trust_label: str, row: Row) -> bool:
+        condition = self.head_filters.get(trust_label)
         return condition is None or condition(row)
 
     def _rejected(self, relation: str, row: Row) -> bool:
@@ -91,10 +92,8 @@ class DerivationTest:
         """Decide derivability-from-edbs for each checked (relation, row)."""
         checks = [(relation, tuple(row)) for relation, row in checks]
         check_set = set(checks)
-        # node -> [(table, prow, trusted_step)]
-        support: dict[
-            Token, list[tuple[ProvenanceTable, Row, bool]]
-        ] = {}
+        # node -> [(source tuples of one supporting row, trusted_step)]
+        support: dict[Token, list[tuple[tuple[Token, ...], bool]]] = {}
         visited: set[Token] = set()
         stack: list[Token] = list(checks)
 
@@ -115,17 +114,22 @@ class DerivationTest:
                 # A rejected non-local tuple cannot be in R__o, so as a
                 # *source* it is dead; its mapped support is irrelevant.
                 continue
-            entries: list[tuple[ProvenanceTable, Row, bool]] = []
-            for table, head in self.encoding.targets_for_relation(relation):
-                trusted_step = self._trust_ok(head, row)
+            entries: list[tuple[tuple[Token, ...], bool]] = []
+            for target in self.encoding.targets_for_relation(relation):
+                trusted_step = self._trust_ok(target.trust_label, row)
                 if not is_check and not trusted_step:
                     # Untrusted support only matters for R__i verdicts of
                     # checked tuples.
                     continue
-                for prow in table.supporting_rows(self.db, head, row):
+                probe = target.probe(row)
+                if probe is None:
+                    continue
+                source_tuples = target.table.source_tuples
+                for prow in self.db[target.relation].lookup(*probe):
                     self.support_rows_visited += 1
-                    entries.append((table, prow, trusted_step))
-                    for source in table.source_tuples(prow):
+                    sources = source_tuples(prow)
+                    entries.append((sources, trusted_step))
+                    for source in sources:
                         if source not in visited:
                             stack.append(source)
             support[node] = entries
@@ -143,13 +147,10 @@ class DerivationTest:
                 relation, row = node
                 if self._rejected(relation, row):
                     continue
-                for table, prow, trusted_step in entries:
+                for sources, trusted_step in entries:
                     if not trusted_step:
                         continue
-                    if all(
-                        source in grounded
-                        for source in table.source_tuples(prow)
-                    ):
+                    if all(source in grounded for source in sources):
                         grounded.add(node)
                         changed = True
                         break
@@ -159,11 +160,8 @@ class DerivationTest:
         for node in checks:
             trusted = False
             any_support = False
-            for table, prow, trusted_step in support.get(node, ()):
-                if all(
-                    source in grounded
-                    for source in table.source_tuples(prow)
-                ):
+            for sources, trusted_step in support.get(node, ()):
+                if all(source in grounded for source in sources):
                     any_support = True
                     if trusted_step:
                         trusted = True

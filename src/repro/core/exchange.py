@@ -196,13 +196,16 @@ class ExchangeReport:
     details: dict[str, object] = field(default_factory=dict)
     #: Total CPU seconds of the operation (process-wide clock).
     cpu_seconds: float = 0.0
-    #: Per-phase timing: ``{"evaluate" | "merge" | "index_settle":
-    #: {"wall_seconds": float, "cpu_seconds": float}}``.  ``evaluate``
-    #: is stratum fixpoint evaluation, ``merge`` the parallel
+    #: Per-phase timing: ``{"evaluate" | "retract" | "merge" |
+    #: "index_settle": {"wall_seconds": float, "cpu_seconds": float}}``.
+    #: ``evaluate`` is stratum fixpoint evaluation, ``retract`` deletion
+    #: and revocation propagation (semijoins, weight recount and
+    #: derivability checks; 0 under recompute), ``merge`` the parallel
     #: executor's result merge (0 on the sequential path, where merging
     #: happens inside evaluation), ``index_settle`` deferred index
-    #: catch-up.  Always populated — sourced from the layers'
-    #: always-on phase clocks, not from opt-in tracing.
+    #: catch-up — which also runs inside ``evaluate`` and ``retract``
+    #: when their probes need an index.  Always populated — sourced from
+    #: the layers' always-on phase clocks, not from opt-in tracing.
     phases: dict[str, dict[str, float]] = field(default_factory=dict)
 
 
@@ -514,6 +517,7 @@ class ExchangeSystem:
         start = time.perf_counter()
         cpu_start = time.process_time()
         stats_before = self.engine.stats.counters()
+        retract_before = self._retract_clock()
         merge_before = self._merge_clock()
         settle_before = self._settle_clock()
         span = (
@@ -558,12 +562,17 @@ class ExchangeSystem:
                 _tracing.finish(span)
             raise
         evaluation = report.details.get("evaluation", {})
+        retract_after = self._retract_clock()
         merge_after = self._merge_clock()
         settle_after = self._settle_clock()
         report.phases = {
             "evaluate": {
                 "wall_seconds": evaluation.get("eval_wall_seconds", 0.0),
                 "cpu_seconds": evaluation.get("eval_cpu_seconds", 0.0),
+            },
+            "retract": {
+                "wall_seconds": retract_after[0] - retract_before[0],
+                "cpu_seconds": retract_after[1] - retract_before[1],
             },
             "merge": {
                 "wall_seconds": merge_after[0] - merge_before[0],
@@ -581,6 +590,14 @@ class ExchangeSystem:
         report.seconds = time.perf_counter() - start
         report.cpu_seconds = time.process_time() - cpu_start
         return report
+
+    def _retract_clock(self) -> tuple[float, float]:
+        """Cumulative (wall, cpu) seconds of deletion propagation."""
+        maintainer = self._maintainer
+        return (
+            maintainer.retract_wall_seconds,
+            maintainer.retract_cpu_seconds,
+        )
 
     def _merge_clock(self) -> tuple[float, float]:
         """Cumulative (wall, cpu) seconds of parallel result merging."""

@@ -44,8 +44,9 @@ then normalize back to set semantics (``distinct``): a row is in
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from ..datalog.ast import Atom, DatalogError, Program, Rule
 from ..datalog.engine import SemiNaiveEngine
@@ -54,6 +55,7 @@ from ..datalog.plan import run_plan
 from ..provenance.relations import ProvenanceEncoding, ProvenanceTable
 from ..provenance.semiring import Token
 from ..schema.internal import (
+    LOCAL_RULE_PREFIX,
     input_name,
     local_name,
     output_name,
@@ -145,6 +147,10 @@ class WeightedMaintainer:
         self.has_negated_mappings = any(
             atom.negated for table in encoding.tables for atom in table.body
         )
+        # Cumulative wall/CPU seconds spent in propagate_deletions — the
+        # always-on clock behind ExchangeReport.phases["retract"].
+        self.retract_wall_seconds = 0.0
+        self.retract_cpu_seconds = 0.0
 
     @property
     def head_filters(self) -> HeadFilters:
@@ -183,41 +189,34 @@ class WeightedMaintainer:
 
     # -- shared helpers ------------------------------------------------------
 
-    def _local_ok(self, relation: str, row: Row) -> bool:
-        if row not in self.db[local_name(relation)]:
-            return False
-        from ..schema.internal import LOCAL_RULE_PREFIX
-
-        token_filter = self.head_filters.get(LOCAL_RULE_PREFIX + relation)
-        return token_filter is None or token_filter(row)
-
-    def _trusted_ok(self, relation: str, row: Row) -> bool:
-        return row in self.db[trusted_name(relation)]
-
-    def _output_membership(self, relation: str, row: Row) -> bool:
-        """Should ``row`` be in ``R__o`` given the current internal state?
+    def _output_sync(
+        self, relation: str, deltas: dict[str, ZSet]
+    ) -> Callable[[Row], None]:
+        """Reconcile ``R__o`` memberships of one relation, row by row.
 
         This is the ``distinct`` normalization at the output boundary:
         membership is "accumulated support is positive" (a surviving
-        local contribution, or trusted-and-not-rejected), never a
-        multiplicity."""
-        if self._local_ok(relation, row):
-            return True
-        return (
-            self._trusted_ok(relation, row)
-            and row not in self.db[rejection_name(relation)]
-        )
+        filtered local contribution, or trusted-and-not-rejected), never
+        a multiplicity.  A row that leaves ``R__o`` accumulates ``-1`` in
+        ``deltas``.  The relation's tables are resolved once per call, not
+        once per row."""
+        db = self.db
+        local = db[local_name(relation)]
+        token_filter = self.head_filters.get(LOCAL_RULE_PREFIX + relation)
+        trusted = db[trusted_name(relation)]
+        rejected = db[rejection_name(relation)]
+        out = db[output_name(relation)]
 
-    def _sync_output(
-        self, relation: str, row: Row, deltas: dict[str, ZSet]
-    ) -> None:
-        """Reconcile one R__o membership; accumulate ``-1`` if lost."""
-        should = self._output_membership(relation, row)
-        out = self.db[output_name(relation)]
-        if should:
-            out.insert(row)
-        elif out.delete(row):
-            deltas.setdefault(relation, ZSet()).add(row, -1)
+        def sync(row: Row) -> None:
+            if (
+                row in local
+                and (token_filter is None or token_filter(row))
+            ) or (row in trusted and row not in rejected):
+                out.insert(row)
+            elif out.delete(row):
+                deltas.setdefault(relation, ZSet()).add(row, -1)
+
+        return sync
 
     # -- insertions (positive deltas) ---------------------------------------
 
@@ -257,11 +256,12 @@ class WeightedMaintainer:
             seeds: dict[str, set[Row]] = {}
             for relation, rows in rejection_deletes.items():
                 rejection = self.db[rejection_name(relation)]
+                trusted = self.db[trusted_name(relation)]
                 out = self.db[output_name(relation)]
                 for row in map(tuple, rows):
                     if not rejection.delete(row):
                         continue
-                    if self._trusted_ok(relation, row) and out.insert(row):
+                    if row in trusted and out.insert(row):
                         seeds.setdefault(output_name(relation), set()).add(row)
             if seeds:
                 derived = self.engine.run_insertions(
@@ -284,14 +284,20 @@ class WeightedMaintainer:
                 "negated LHS atoms (deletions become non-monotone); use the "
                 "full-recomputation strategy"
             )
-        # One deferral scope around the whole run: the per-row provenance
-        # and output deletions append maintenance runs instead of patching
-        # every index, and the derivability probes catch up in batched
-        # passes (see repro.storage.indexes).
-        with self.db.defer_maintenance():
-            return self._propagate_deletions_deferred(
-                local_deletes, rejection_inserts
-            )
+        wall0 = time.perf_counter()
+        cpu0 = time.process_time()
+        try:
+            # One deferral scope around the whole run: the per-row
+            # provenance and output deletions append maintenance runs
+            # instead of patching every index, and the derivability probes
+            # catch up in batched passes (see repro.storage.indexes).
+            with self.db.defer_maintenance():
+                return self._propagate_deletions_deferred(
+                    local_deletes, rejection_inserts
+                )
+        finally:
+            self.retract_wall_seconds += time.perf_counter() - wall0
+            self.retract_cpu_seconds += time.process_time() - cpu0
 
     def _propagate_deletions_deferred(
         self,
@@ -316,11 +322,12 @@ class WeightedMaintainer:
                     pending_affected.add((relation, row))
         for relation, rows in (rejection_inserts or {}).items():
             rejection = self.db[rejection_name(relation)]
+            sync = self._output_sync(relation, output_deltas)
             for row in map(tuple, rows):
                 if rejection.insert(row):
                     # Rejection removes the R__o row directly (rule (tR));
                     # R__t itself is unaffected, so no derivability check.
-                    self._sync_output(relation, row, output_deltas)
+                    sync(row)
         self._record_output_deltas(report, output_deltas)
 
         # Main loop: one round per negative-delta stratum, mirroring the
@@ -339,62 +346,70 @@ class WeightedMaintainer:
             # bulk retraction per table.
             removed = self._retract_doomed_provenance_rows(output_deltas)
             for name, rows in removed.items():
-                table = self._table_by_name[name]
                 report.provenance_rows_deleted += len(rows)
-                for prow in rows:
-                    for head in table.heads:
-                        affected.add(
-                            (head.user_relation, table.head_row(head, prow))
-                        )
+                for target in self._table_by_name[name].compiled_heads:
+                    relation, project = target.user_relation, target.project
+                    affected.update((relation, project(prow)) for prow in rows)
 
-            # Weight bookkeeping: recount each affected row's remaining
-            # direct support.  Weight zero -> the row is gone outright;
-            # positive weight -> groundedness check (cyclic support is
-            # weight a count cannot distinguish from live derivations).
-            output_deltas = {}
-            direct: dict[Token, tuple[bool, bool]] = {}
-            to_check: list[Token] = []
-            for node in affected:
-                relation, row = node
-                any_support = False
-                trusted_support = False
-                for table, head in self.encoding.targets_for_relation(
-                    relation
-                ):
-                    rows_left = table.supporting_rows(self.db, head, row)
-                    if rows_left:
+            # Weight bookkeeping, one relation at a time: recount each
+            # affected row's remaining direct support.  Weight zero -> the
+            # row is gone outright; positive weight -> groundedness check
+            # (cyclic support is weight a count cannot distinguish from
+            # live derivations).
+            by_relation: dict[str, list[Row]] = {}
+            for relation, row in affected:
+                by_relation.setdefault(relation, []).append(row)
+            # Rows with support left -> whether some of it is trusted.
+            direct: dict[Token, bool] = {}
+            for relation, rows in by_relation.items():
+                targets = [
+                    (
+                        target.probe,
+                        self.db[target.relation].lookup,
+                        self.head_filters.get(target.trust_label),
+                    )
+                    for target in self.encoding.targets_for_relation(relation)
+                ]
+                for row in rows:
+                    any_support = trusted_support = False
+                    for probe, lookup, trust in targets:
+                        key = probe(row)
+                        if key is None or not lookup(*key):
+                            continue
                         any_support = True
-                        if self._head_trust_ok(head, row):
+                        if trust is None or trust(row):
                             trusted_support = True
                             break
-                direct[node] = (any_support, trusted_support)
-                if any_support:
-                    to_check.append(node)
+                    if any_support:
+                        direct[(relation, row)] = trusted_support
 
             verdicts = {}
-            if to_check:
+            if direct:
                 tester = DerivationTest(
                     self.db, self.encoding, self.head_filters
                 )
-                verdicts = tester.derivable(to_check)
-                report.derivability_checks += len(to_check)
+                verdicts = tester.derivable(direct)
+                report.derivability_checks += len(direct)
 
-            for node in affected:
-                relation, row = node
-                any_support, trusted_support = direct[node]
-                if not any_support:
-                    keep_input = keep_trusted = False
-                else:
-                    verdict = verdicts[node]
-                    keep_input = verdict.any
-                    keep_trusted = verdict.trusted and trusted_support
-                if not keep_input:
-                    if self.db[input_name(relation)].delete(row):
+            output_deltas = {}
+            for relation, rows in by_relation.items():
+                inputs = self.db[input_name(relation)]
+                trusted = self.db[trusted_name(relation)]
+                sync = self._output_sync(relation, output_deltas)
+                for row in rows:
+                    node = (relation, row)
+                    trusted_support = direct.get(node)
+                    if trusted_support is None:  # no support left
+                        keep_input = keep_trusted = False
+                    else:
+                        verdict = verdicts[node]
+                        keep_input = verdict.any
+                        keep_trusted = verdict.trusted and trusted_support
+                    if not keep_input and inputs.delete(row):
                         report._count(input_name(relation))
-                if not keep_trusted:
-                    if self.db[trusted_name(relation)].delete(row):
+                    if not keep_trusted and trusted.delete(row):
                         report._count(trusted_name(relation))
-                self._sync_output(relation, row, output_deltas)
+                    sync(row)
 
             self._record_output_deltas(report, output_deltas)
 
@@ -482,10 +497,6 @@ class WeightedMaintainer:
             return self.db[atom.predicate]
 
         return run_plan(plan, resolve)
-
-    def _head_trust_ok(self, head, row: Row) -> bool:
-        condition = self.head_filters.get(head.trust_label)
-        return condition is None or condition(row)
 
 
 def _strip_output(internal_rel: str) -> str:

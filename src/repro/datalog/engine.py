@@ -691,7 +691,10 @@ class SemiNaiveEngine:
         round later as Δ-seeds instead, so the fixpoint (and every
         provenance row) is identical while ``rounds`` may differ.
         Returns ``None`` on pool failure (the caller re-runs this same
-        round sequentially: nothing has been inserted yet).
+        round sequentially: nothing has been inserted yet).  With tracing
+        on, each dispatched (rule, Δ-occurrence) gets a ``rule-evaluation``
+        span covering the whole dispatch — the tasks run concurrently —
+        carrying its merged row count.
         """
         executor = self._executor()
         if executor is None:
@@ -716,9 +719,20 @@ class SemiNaiveEngine:
                 )
         if not tasks:
             return {}
-        next_deltas = executor.run_insertion_round(db, tasks, relevant)
-        if next_deltas is None:
+        wall0 = time.perf_counter()
+        cpu0 = time.process_time()
+        outcome = executor.run_insertion_round(db, tasks, relevant)
+        if outcome is None:
             return None
+        next_deltas, task_rows = outcome
+        if _tracing.ENABLED:
+            for (_, index, _, head, _), rows in zip(tasks, task_rows):
+                span = _tracing.start(
+                    "rule-evaluation", head=head, delta_index=index
+                )
+                span.start_wall = wall0
+                span.start_cpu = cpu0
+                _tracing.finish(span, rows=rows)
         result.rule_applications += len(tasks)
         result.parallel_rounds += 1
         return next_deltas

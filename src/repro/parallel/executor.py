@@ -85,15 +85,17 @@ class ParallelExecutor:
         db: "Database",
         tasks: "Sequence[Task]",
         relevant: "frozenset[str] | None" = None,
-    ) -> "dict[str, set[Row]] | None":
+    ) -> "tuple[dict[str, set[Row]], list[int]] | None":
         """Evaluate and apply one insertion round.
 
         Returns the per-predicate *effective* insertions (the next
-        round's Δ-seeds, exactly as the sequential loop computes them),
-        or ``None`` when the pool failed before anything was applied (now
-        permanently disabled) and the caller must run the round
-        sequentially.  ``relevant`` is the body-predicate set of the
-        running program — the delta-shipping filter.
+        round's Δ-seeds, exactly as the sequential loop computes them)
+        and, per task, the merged rows that passed its head filter (what
+        a sequential rule evaluation returns); or ``None`` when the pool
+        failed before anything was applied (now permanently disabled) and
+        the caller must run the round sequentially.  ``relevant`` is the
+        body-predicate set of the running program — the delta-shipping
+        filter.
         """
         evaluated = self._evaluate_round(
             db, [(plan, index, rows) for plan, index, rows, _, _ in tasks], relevant
@@ -219,7 +221,7 @@ class ParallelExecutor:
         retain: bool,
         tasks: "Sequence[Task]",
         masks: "Sequence[dict[Row, int]]",
-    ) -> "dict[str, set[Row]]":
+    ) -> "tuple[dict[str, set[Row]], list[int]]":
         """Filter and insert one round's merged derivations.
 
         The parallel counterpart of :meth:`Merger.apply
@@ -256,10 +258,11 @@ class ParallelExecutor:
         retain: bool,
         tasks: "Sequence[Task]",
         masks: "Sequence[dict[Row, int]]",
-    ) -> "dict[str, set[Row]]":
+    ) -> "tuple[dict[str, set[Row]], list[int]]":
         next_deltas: "dict[str, set[Row]]" = {}
         produced: "dict[str, dict[Row, int]]" = {}
         survivors: "dict[str, set[Row]]" = {}
+        task_rows: "list[int]" = []
         for (plan, _, _, head, head_filter), rowmask in zip(tasks, masks):
             if retain and rowmask:
                 target = produced.setdefault(head, {})
@@ -271,6 +274,7 @@ class ParallelExecutor:
                     for row, mask in rowmask.items()
                     if head_filter(row)
                 }
+            task_rows.append(len(rowmask))
             if not rowmask:
                 continue
             instance = db[head]
@@ -301,7 +305,7 @@ class ParallelExecutor:
                         worker += 1
                 for worker, rows in by_worker.items():
                     rejections[(token, head, worker)] = tuple(rows)
-        return next_deltas
+        return next_deltas, task_rows
 
     def close(self) -> None:
         """Shut the pool down; the executor becomes unavailable."""

@@ -30,17 +30,10 @@ instantiation").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterator
+from typing import AbstractSet, Callable, Iterator
 
-from ..datalog.ast import (
-    Atom,
-    Constant,
-    Program,
-    Rule,
-    SkolemTerm,
-    Variable,
-    instantiate_atom,
-)
+from ..datalog.ast import Atom, Program, Rule, Term, Variable
+from ..datalog.plan import _compile_pattern, _match_pattern, _tuple_getter
 from ..schema.internal import InternalSchema, input_name, output_name, trusted_name
 from ..schema.tgd import SchemaMapping
 from ..storage.database import Database
@@ -57,6 +50,9 @@ PROJ_RULE_PREFIX = "proj:"
 TRUST_RULE_PREFIX = "trust:"
 
 OUTPUT_SUFFIX_LEN = len("__o")
+
+Probe = tuple[tuple[int, ...], tuple[object, ...]]
+"""An index probe: ``(columns, values)`` for :meth:`Instance.lookup`."""
 
 
 def _user_relation_of_internal(internal_rel: str) -> str:
@@ -98,12 +94,35 @@ class ProvenanceTable:
     _var_index: dict[Variable, int] = field(
         default=None, compare=False, repr=False
     )  # type: ignore[assignment]
+    _compiled: dict[int, CompiledHead] = field(
+        default=None, compare=False, repr=False
+    )  # type: ignore[assignment]
+    _sources: tuple[tuple[str, Callable[[Row], Row]], ...] = field(
+        default=None, compare=False, repr=False
+    )  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         object.__setattr__(
             self,
             "_var_index",
             {var: i for i, var in enumerate(self.variables)},
+        )
+        object.__setattr__(
+            self,
+            "_compiled",
+            {head.index: CompiledHead(self, head) for head in self.heads},
+        )
+        object.__setattr__(
+            self,
+            "_sources",
+            tuple(
+                (
+                    _user_relation_of_internal(atom.predicate),
+                    _tuple_getter(atom.terms, self._var_index),
+                )
+                for atom in self.body
+                if not atom.negated
+            ),
         )
 
     @property
@@ -114,34 +133,27 @@ class ProvenanceTable:
     def prov_label(self) -> str:
         return f"{PROV_RULE_PREFIX}{self.mapping}:{self.relation}"
 
-    # -- row interpretation -------------------------------------------------
+    @property
+    def compiled_heads(self) -> tuple[CompiledHead, ...]:
+        """The table's head targets, compiled for the retraction path."""
+        return tuple(self._compiled.values())
 
-    def substitution(self, row: Row) -> dict[Variable, object]:
-        return dict(zip(self.variables, row, strict=True))
+    # -- row interpretation -------------------------------------------------
+    #
+    # A provenance row *is* an environment indexed by ``_var_index``, so
+    # every projection and inverse probe below is compiled once, in
+    # ``__post_init__``, with the plan compiler's templates.
 
     def head_row(self, head: HeadTarget, row: Row) -> Row:
-        return instantiate_atom(head.atom, self.substitution(row))
+        return self._compiled[head.index].project(row)
 
     def source_tuples(self, row: Row) -> tuple[Token, ...]:
         """The user-level (relation, tuple) pairs joined by this instantiation
         (positive body atoms only — these are the provenance-graph arcs *into*
         the mapping node)."""
-        subst = self.substitution(row)
-        out: list[Token] = []
-        for atom in self.body:
-            if atom.negated:
-                continue
-            out.append(
-                (
-                    _user_relation_of_internal(atom.predicate),
-                    instantiate_atom(atom, subst),
-                )
-            )
-        return tuple(out)
+        return tuple([(relation, get(row)) for relation, get in self._sources])
 
-    def support_probe(
-        self, head: HeadTarget, target_row: Row
-    ) -> tuple[tuple[int, ...], tuple[object, ...]] | None:
+    def support_probe(self, head: HeadTarget, target_row: Row) -> Probe | None:
         """Columns/values probing this table for rows deriving ``target_row``.
 
         This is the *inverse rule* of Section 4.1.3: it "uses the existing
@@ -150,58 +162,9 @@ class ProvenanceTable:
         cannot possibly be derived through ``head`` (constant or Skolem
         mismatch).
         """
-        bindings: dict[Variable, object] = {}
+        return self._compiled[head.index].probe(target_row)
 
-        def bind(var: Variable, value: object) -> bool:
-            known = bindings.get(var, _UNSET)
-            if known is _UNSET:
-                bindings[var] = value
-                return True
-            return known == value
-
-        for term, value in zip(head.atom.terms, target_row, strict=True):
-            if isinstance(term, Constant):
-                if term.value != value:
-                    return None
-            elif isinstance(term, Variable):
-                if not bind(term, value):
-                    return None
-            elif isinstance(term, SkolemTerm):
-                from ..datalog.ast import SkolemValue
-
-                if not isinstance(value, SkolemValue):
-                    return None
-                if value.function_name != term.function.name:
-                    return None
-                if len(value.args) != len(term.args):
-                    return None
-                for arg_term, arg_value in zip(term.args, value.args):
-                    if isinstance(arg_term, Variable):
-                        if not bind(arg_term, arg_value):
-                            return None
-                    elif isinstance(arg_term, Constant):
-                        if arg_term.value != arg_value:
-                            return None
-                    else:  # pragma: no cover - parser forbids nesting
-                        raise ProvenanceError(
-                            f"nested Skolem term {arg_term!r} unsupported"
-                        )
-        columns: list[int] = []
-        values: list[object] = []
-        for var, value in bindings.items():
-            index = self._var_index.get(var)
-            if index is None:  # pragma: no cover - heads use LHS vars only
-                raise ProvenanceError(
-                    f"head variable {var!r} missing from provenance table "
-                    f"{self.relation!r}"
-                )
-            columns.append(index)
-            values.append(value)
-        return tuple(columns), tuple(values)
-
-    def body_probe(
-        self, atom_index: int, source_row: Row
-    ) -> tuple[tuple[int, ...], tuple[object, ...]] | None:
+    def body_probe(self, atom_index: int, source_row: Row) -> Probe | None:
         """Columns/values probing this table for instantiations that joined
         ``source_row`` at positive body atom ``atom_index``.
 
@@ -215,22 +178,7 @@ class ProvenanceTable:
             raise ProvenanceError(
                 f"body_probe on negated atom {atom!r} of {self.relation!r}"
             )
-        bindings: dict[Variable, object] = {}
-        for term, value in zip(atom.terms, source_row, strict=True):
-            if isinstance(term, Constant):
-                if term.value != value:
-                    return None
-            elif isinstance(term, Variable):
-                known = bindings.get(term, _UNSET)
-                if known is _UNSET:
-                    bindings[term] = value
-                elif known != value:
-                    return None
-            else:  # pragma: no cover - bodies cannot hold Skolem terms
-                raise ProvenanceError(f"unexpected body term {term!r}")
-        columns = tuple(self._var_index[var] for var in bindings)
-        values = tuple(bindings[var] for var in bindings)
-        return columns, values
+        return _inverse_probe(atom.terms, self)(source_row)
 
     def positive_body_atoms(self) -> tuple[tuple[int, Atom], ...]:
         """(index, atom) pairs for the positive body atoms."""
@@ -250,11 +198,10 @@ class ProvenanceTable:
         :meth:`repro.storage.instance.Instance.lookup`); materialize before
         mutating the provenance table while iterating.
         """
-        probe = self.support_probe(head, target_row)
+        probe = self._compiled[head.index].probe(target_row)
         if probe is None:
             return frozenset()
-        columns, values = probe
-        return db[self.relation].lookup(columns, values)
+        return db[self.relation].lookup(*probe)
 
     # -- rule generation ------------------------------------------------------
 
@@ -289,11 +236,70 @@ class ProvenanceTable:
         )
 
 
-class _Unset:
-    __slots__ = ()
+class CompiledHead:
+    """One ``(table, head)`` pair compiled for the retraction path.
+
+    ``project(prow)`` is rule ``(m'')`` applied to one provenance row: the
+    head row it derives.  ``probe(row)`` is its inverse (Section 4.1.3):
+    the ``(columns, values)`` probe of the table for the rows deriving
+    ``row``, or None when no row can (constant, repeated-variable or
+    Skolem mismatch).  Both are built once; the hot loops of deletion
+    propagation and derivability testing only call them.  Unpacks as the
+    ``(table, head)`` pair it was compiled from.
+    """
+
+    __slots__ = (
+        "table",
+        "head",
+        "relation",
+        "user_relation",
+        "trust_label",
+        "project",
+        "probe",
+    )
+
+    def __init__(self, table: ProvenanceTable, head: HeadTarget) -> None:
+        self.table = table
+        self.head = head
+        self.relation = table.relation
+        self.user_relation = head.user_relation
+        self.trust_label = head.trust_label
+        self.project = _tuple_getter(head.atom.terms, table._var_index)
+        self.probe = _inverse_probe(head.atom.terms, table)
+
+    def __iter__(self) -> Iterator[ProvenanceTable | HeadTarget]:
+        return iter((self.table, self.head))
 
 
-_UNSET = _Unset()
+def _inverse_probe(
+    terms: tuple[Term, ...], table: ProvenanceTable
+) -> Callable[[Row], Probe | None]:
+    """Compile the inverse of instantiating ``terms`` from a row of
+    ``table``: a function from a ground row to the ``(columns, values)``
+    probe of the table's rows that instantiate to it, or None.
+
+    All-distinct-variable terms (full tgds) probe with the row itself as
+    the values.  Otherwise constants, repeated variables and Skolem
+    patterns become the plan compiler's pattern ops; variables are
+    numbered in first-occurrence order, which is the order the matcher
+    collects their values in.
+    """
+    slot_of: dict[Variable, int] = {}
+    patterns = tuple(_compile_pattern(term, slot_of, 0) for term in terms)
+    columns = tuple(table._var_index[var] for var in slot_of)
+    if len(slot_of) == len(terms) and all(
+        isinstance(term, Variable) for term in terms
+    ):
+        return lambda row: (columns, row)
+
+    def probe(row: Row) -> Probe | None:
+        values: list[object] = []
+        for pattern, value in zip(patterns, row, strict=True):
+            if not _match_pattern(pattern, value, (), values):
+                return None
+        return columns, tuple(values)
+
+    return probe
 
 
 def _mapping_tables(
@@ -356,12 +362,26 @@ class ProvenanceEncoding:
     internal: InternalSchema
     style: str = ENCODING_COMPOSITE
     tables: tuple[ProvenanceTable, ...] = field(default=None, compare=False)  # type: ignore[assignment]
+    _targets: dict[str, tuple[CompiledHead, ...]] = field(
+        default=None, compare=False, repr=False
+    )  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         tables: list[ProvenanceTable] = []
+        targets: dict[str, list[CompiledHead]] = {}
         for mapping in self.internal.mappings:
-            tables.extend(_mapping_tables(mapping, self.style))
+            for table in _mapping_tables(mapping, self.style):
+                tables.append(table)
+                for compiled in table.compiled_heads:
+                    targets.setdefault(compiled.user_relation, []).append(
+                        compiled
+                    )
         object.__setattr__(self, "tables", tuple(tables))
+        object.__setattr__(
+            self,
+            "_targets",
+            {relation: tuple(found) for relation, found in targets.items()},
+        )
 
     # -- lookups ----------------------------------------------------------
 
@@ -376,14 +396,10 @@ class ProvenanceEncoding:
 
     def targets_for_relation(
         self, user_relation: str
-    ) -> tuple[tuple[ProvenanceTable, HeadTarget], ...]:
-        """Every (table, head) pair that can derive tuples of a relation."""
-        out: list[tuple[ProvenanceTable, HeadTarget]] = []
-        for table in self.tables:
-            for head in table.heads:
-                if head.user_relation == user_relation:
-                    out.append((table, head))
-        return tuple(out)
+    ) -> tuple[CompiledHead, ...]:
+        """Every compiled (table, head) pair that can derive tuples of a
+        relation."""
+        return self._targets.get(user_relation, ())
 
     def iter_heads(self) -> Iterator[tuple[ProvenanceTable, HeadTarget]]:
         for table in self.tables:

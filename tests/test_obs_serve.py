@@ -167,8 +167,22 @@ class TestStatsSchema:
         with cdss.batch() as tx:
             tx.insert("G", (50, 60, 70))
         report = cdss.update_exchange()
-        assert set(report.phases) == {"evaluate", "merge", "index_settle"}
+        assert set(report.phases) == {
+            "evaluate",
+            "retract",
+            "merge",
+            "index_settle",
+        }
         for clocks in report.phases.values():
             assert clocks["wall_seconds"] >= 0.0
             assert clocks["cpu_seconds"] >= 0.0
         assert report.cpu_seconds >= 0.0
+
+    def test_retract_phase_times_deletions(self):
+        cdss = paper_cdss()
+        with cdss.batch() as tx:
+            tx.delete("G", (3, 5, 2))
+        report = cdss.update_exchange()
+        assert report.deleted > 0
+        retract = report.phases["retract"]["wall_seconds"]
+        assert 0.0 < retract <= report.seconds
