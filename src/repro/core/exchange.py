@@ -519,7 +519,7 @@ class ExchangeSystem:
         stats_before = self.engine.stats.counters()
         retract_before = self._retract_clock()
         merge_before = self._merge_clock()
-        settle_before = self._settle_clock()
+        settle_before = self.db.settle_clock()
         span = (
             _tracing.start(
                 "exchange", strategy=strategy, perspective=self.perspective
@@ -564,7 +564,7 @@ class ExchangeSystem:
         evaluation = report.details.get("evaluation", {})
         retract_after = self._retract_clock()
         merge_after = self._merge_clock()
-        settle_after = self._settle_clock()
+        settle_after = self.db.settle_clock()
         report.phases = {
             "evaluate": {
                 "wall_seconds": evaluation.get("eval_wall_seconds", 0.0),
@@ -605,14 +605,6 @@ class ExchangeSystem:
         if executor is None:
             return (0.0, 0.0)
         return (executor.merge_wall_seconds, executor.merge_cpu_seconds)
-
-    def _settle_clock(self) -> tuple[float, float]:
-        """Cumulative (wall, cpu) seconds of deferred index settling."""
-        stats = self.db.index_stats()
-        return (
-            stats["settle_wall_seconds"],
-            stats["settle_cpu_seconds"],
-        )
 
     def _apply_by_recompute(self, delta: PublishDelta) -> ExchangeReport:
         with self.db.defer_maintenance():

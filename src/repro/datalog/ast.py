@@ -10,12 +10,15 @@ solutions.
 This module defines the term/atom/rule/program data model shared by the
 parser, the planners, and the evaluation engine.  All types are immutable and
 hashable so they can be used as dictionary keys and set members, which the
-semi-naive engine relies on heavily.
+semi-naive engine relies on heavily.  Terms, atoms, rules and programs are
+frozen dataclasses.  Labeled nulls, which fill relation rows, are tagged
+tuples (:class:`SkolemValue`), so hashing and comparing them runs in C.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -90,8 +93,29 @@ class SkolemTerm:
 Term = Variable | Constant | SkolemTerm
 
 
-@dataclass(frozen=True)
-class SkolemValue:
+class _LabeledTag:
+    """The type of :data:`_LABELED`, the tag in slot 0 of every labeled null.
+
+    It compares by identity (``object`` equality), and this module holds
+    the only instance, so no tuple built elsewhere can equal a
+    :class:`SkolemValue`.  Pickling refers to the instance by its global
+    name, which keeps the identity across fork and spawn workers.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self) -> str:
+        return "_LABELED"
+
+
+_LABELED = _LabeledTag()
+
+
+def _unorderable(self: object, other: object) -> object:
+    return NotImplemented
+
+
+class SkolemValue(tuple):
     """A labeled null: the ground value produced by a Skolem function.
 
     Two labeled nulls are equal iff they were produced by the same Skolem
@@ -99,14 +123,34 @@ class SkolemValue:
     semantics of Section 4.1.1.  Labeled nulls are ordinary values to the
     engine (joins may test them for equality) but are filtered out when
     producing *certain answers* (Section 2.1).
+
+    A null is the tagged tuple ``(_LABELED, function_name, args)``.
+    Nulls nest inside each other along chains of mappings, and as a
+    tuple the whole term hashes and compares in C, without a Python
+    frame per node.  That is why the class defines neither ``__eq__``
+    nor ``__hash__``.  The private tag keeps nulls apart from plain
+    tuples.  Nulls stay unorderable: the order comparisons return
+    ``NotImplemented``, so ``null < null`` raises :class:`TypeError`.
     """
 
-    function_name: str
-    args: tuple[object, ...]
+    __slots__ = ()
+
+    def __new__(
+        cls, function_name: str, args: tuple[object, ...]
+    ) -> "SkolemValue":
+        return tuple.__new__(cls, (_LABELED, function_name, args))
+
+    function_name = property(itemgetter(1), doc="The Skolem function's name.")
+    args = property(itemgetter(2), doc="The argument values (a tuple).")
+
+    def __getnewargs__(self) -> tuple[str, tuple[object, ...]]:
+        return (self[1], self[2])
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unorderable
 
     def __repr__(self) -> str:
-        inner = ", ".join(repr(a) for a in self.args)
-        return f"{self.function_name}({inner})"
+        inner = ", ".join(repr(a) for a in self[2])
+        return f"{self[1]}({inner})"
 
 
 def is_labeled_null(value: object) -> bool:

@@ -223,10 +223,8 @@ def _value_getter(
         return lambda env: env[slot]
     if isinstance(term, SkolemTerm):
         name = term.function.name
-        getters = tuple(_value_getter(arg, slot_of) for arg in term.args)
-        return lambda env: SkolemValue(
-            name, tuple(getter(env) for getter in getters)
-        )
+        args_of = _tuple_getter(term.args, slot_of)
+        return lambda env: SkolemValue(name, args_of(env))
     raise PlanError(f"cannot compile term {term!r}")
 
 
@@ -405,16 +403,16 @@ def _match_pattern(
         return env[pattern[1]] == value
     if kind == _P_CONST:
         return pattern[1] == value
-    # _P_SKOLEM
+    # _P_SKOLEM: a null is the tuple (tag, function name, args).
     if (
         not isinstance(value, SkolemValue)
-        or value.function_name != pattern[1]
-        or len(value.args) != len(pattern[2])
+        or value[1] != pattern[1]
+        or len(value[2]) != len(pattern[2])
     ):
         return False
     return all(
         _match_pattern(sub, arg, env, new)
-        for sub, arg in zip(pattern[2], value.args)
+        for sub, arg in zip(pattern[2], value[2])
     )
 
 

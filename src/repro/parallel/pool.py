@@ -28,8 +28,10 @@ entry point is an importable module function.
 
 Pools close idempotently: explicitly via :meth:`close`, when the owner
 drops its last reference (``__del__``), and at interpreter exit (atexit
-backstop); worker processes are daemonic besides, so they can never
-outlive the parent.
+backstop); worker processes are daemonic besides.  A parent that dies
+without closing (SIGKILL) runs none of these: each worker then exits on
+EOF from its pipe, which is why fork children close the parent-side pipe
+ends they inherit.
 """
 
 from __future__ import annotations
@@ -241,12 +243,20 @@ class WorkerPool:
         if self._started:
             return
         context = multiprocessing.get_context(self.start_method)
+        forking = context.get_start_method() == "fork"
         try:
             for index in range(self.workers):
                 parent_conn, child_conn = context.Pipe(duplex=True)
+                # A fork child inherits the parent's end of its own pipe and
+                # of every pipe opened before it.  It must close them, or
+                # its recv never sees EOF when the parent dies.  (Spawn
+                # children inherit nothing; their args are pickled.)
+                inherited = (
+                    tuple(self._conns) + (parent_conn,) if forking else ()
+                )
                 process = context.Process(
                     target=worker_main,
-                    args=(child_conn,),
+                    args=(child_conn, inherited),
                     daemon=True,
                     name=f"repro-eval-worker-{index}",
                 )

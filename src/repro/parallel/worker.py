@@ -216,14 +216,20 @@ class _Replica:
                 del retained[key]
 
 
-def worker_main(conn) -> None:
+def worker_main(conn, inherited: Sequence = ()) -> None:
     """Message loop of one worker process.
+
+    ``inherited`` holds the parent-side pipe ends a fork child got from
+    its parent.  They are closed first, so that the loop sees EOF (and
+    the worker exits) once the parent is gone, even after a SIGKILL.
 
     Messages that can fail (unknown session, bad plan id, evaluation
     error) reply ``(REPLY_ERROR, traceback)`` instead of killing the
     worker; the parent treats any error reply as a pool failure and falls
     back to sequential evaluation of the affected round.
     """
+    for end in inherited:
+        end.close()
     sessions: dict[int, _Replica] = {}
     plans: dict[int, RulePlan] = {}
     protocol = advertised_protocol()

@@ -55,7 +55,9 @@ def encode_value(value: object) -> object:
 
     JSON scalars pass through; everything else (labeled nulls, Skolem
     values, tuples) becomes ``{"!": repr(value)}`` — clients can display
-    and compare such values but not re-submit them as bindings.
+    and compare such values but not re-submit them as bindings.  A labeled
+    null is a tuple subclass, which ``json.dumps`` would otherwise write as
+    a JSON array, so only the scalar types listed here pass through.
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value

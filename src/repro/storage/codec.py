@@ -12,7 +12,9 @@ The encoding is deliberately boring:
 * JSON scalars (``None``, ``bool``, ``int``, ``float``, ``str``) pass
   through unchanged — the common case costs nothing;
 * a labeled null becomes ``{"$null": [function_name, [args...]]}``;
-* a tuple/list value becomes ``{"$tuple": [items...]}``;
+* a tuple/list value becomes ``{"$tuple": [items...]}``.  A labeled null
+  is itself a tuple subclass, so encoding checks for
+  :class:`~repro.datalog.ast.SkolemValue` before it checks for ``tuple``;
 * anything else is rejected loudly (:class:`CodecError`) — silent
   ``repr`` round-trips are exactly the corruption this module exists to
   prevent.
@@ -47,13 +49,9 @@ def encode_value(value: object) -> object:
         return value
     if isinstance(value, (int, float)):
         return value
+    # SkolemValue before tuple: a labeled null is a tuple subclass.
     if isinstance(value, SkolemValue):
-        return {
-            NULL_TAG: [
-                value.function_name,
-                [encode_value(arg) for arg in value.args],
-            ]
-        }
+        return {NULL_TAG: [value[1], [encode_value(arg) for arg in value[2]]]}
     if isinstance(value, (tuple, list)):
         return {TUPLE_TAG: [encode_value(item) for item in value]}
     raise CodecError(

@@ -194,12 +194,24 @@ class Database:
             for instance in self._relations.values()
         )
 
+    def settle_clock(self) -> tuple[float, float]:
+        """Cumulative ``(wall, cpu)`` seconds of deferred index settling,
+        summed across every relation — the two totals of
+        :meth:`index_stats` that each publish reads, without building the
+        rest of it."""
+        wall = cpu = 0.0
+        for instance in self._relations.values():
+            indexes = instance._indexes
+            wall += indexes.settle_wall_seconds
+            cpu += indexes.settle_cpu_seconds
+        return (wall, cpu)
+
     def index_stats(self) -> dict[str, object]:
         """Index-maintenance counters summed across every relation.
 
         Per-relation breakdowns stay on :meth:`Instance.index_stats`;
-        this aggregate is what ``/stats``, ``/metrics``, and the
-        exchange report's index-settle phase read.
+        this aggregate is what ``/stats`` and ``/metrics`` read (the
+        exchange report's index-settle phase reads :meth:`settle_clock`).
         """
         totals: dict[str, object] = {
             "relations": len(self._relations),

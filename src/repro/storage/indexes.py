@@ -77,6 +77,10 @@ class IndexSet:
     """
 
     policy = "abstract"
+    #: Cumulative deferred-settle clocks; only the deferred policy moves
+    #: them (its instances shadow these class defaults with slots).
+    settle_wall_seconds = 0.0
+    settle_cpu_seconds = 0.0
 
     __slots__ = ("_rows", "_by_cols")
 

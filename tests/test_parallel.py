@@ -10,6 +10,11 @@ prove the parallel path actually ran.
 
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +26,7 @@ from repro.datalog import (
     NaiveEngine,
     PreparedPlanner,
     SemiNaiveEngine,
+    is_labeled_null,
     parse_program,
     parse_rule,
 )
@@ -39,6 +45,16 @@ TC_PROGRAM = """
     T(x, y) :- E(x, y)
     T(x, z) :- T(x, y), E(y, z)
 """
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process.  A zombie counts as gone: an
+    exited orphan may never be reaped by the process that adopted it."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
 
 
 def make_db(tables):
@@ -452,7 +468,9 @@ class TestCDSSParallelAgreement:
 class TestSpawnAndPlumbing:
     def test_spawn_start_method_smoke(self):
         """The whole protocol is picklable: a spawn-context pool produces
-        the same state as sequential evaluation."""
+        the same state as sequential evaluation.  The existential
+        mappings make nested labeled nulls cross the spawn boundary, in
+        both directions."""
         snapshots = {}
         for workers, start_method in ((1, None), (2, "spawn")):
             cdss = CDSS(
@@ -460,7 +478,11 @@ class TestSpawnAndPlumbing:
             )
             cdss.add_peer("P1", {"R": ("a", "b")})
             cdss.add_peer("P2", {"S": ("a", "b")})
+            cdss.add_peer("P3", {"T": ("a", "c")})
+            cdss.add_peer("P4", {"U": ("c", "d")})
             cdss.add_mapping("m", "R(x, y) -> S(x, y)")
+            cdss.add_mapping("e1", "S(x, y) -> exists c . T(x, c)")
+            cdss.add_mapping("e2", "T(x, c) -> exists d . U(c, d)")
             with cdss.peer("P1").batch() as tx:
                 for i in range(8):
                     tx.insert("R", (i, i + 1))
@@ -469,8 +491,62 @@ class TestSpawnAndPlumbing:
             snapshots[workers] = system.db.snapshot()
             if workers == 2:
                 assert system.engine.stats.parallel_rounds > 0
+            nested = [
+                row
+                for row in cdss.peer("P4").relation("U").to_rows()
+                if is_labeled_null(row[1]) and is_labeled_null(row[1].args[0])
+            ]
+            assert len(nested) == 8
             system.close()
         assert snapshots[1] == snapshots[2]
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads /proc"
+    )
+    def test_workers_exit_when_parent_is_killed(self):
+        """A SIGKILLed parent runs no cleanup; its fork workers must still
+        exit, on EOF from their pipes."""
+        script = (
+            "import sys\n"
+            "from repro import CDSS\n"
+            "cdss = CDSS('orphans', workers=2)\n"
+            "cdss.add_peer('P1', {'R': ('a', 'b')})\n"
+            "cdss.add_peer('P2', {'S': ('a', 'b')})\n"
+            "cdss.add_mapping('m', 'R(x, y) -> S(x, y)')\n"
+            "with cdss.peer('P1').batch() as tx:\n"
+            "    for i in range(8):\n"
+            "        tx.insert('R', (i, i + 1))\n"
+            "cdss.update_exchange()\n"
+            "pool = cdss.system().engine._parallel.pool\n"
+            "print(*(process.pid for process in pool._procs), flush=True)\n"
+            "sys.stdin.read()\n"
+        )
+        repo_root = Path(__file__).resolve().parent.parent
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(repo_root / "src")},
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        pids: list[int] = []
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(pids) == 2
+            assert all(_running(pid) for pid in pids)
+            parent.kill()
+            parent.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, pids))
+        finally:
+            parent.kill()
+            parent.wait(timeout=10)
+            parent.stdin.close()
+            parent.stdout.close()
+            for pid in filter(_running, pids):
+                os.kill(pid, signal.SIGKILL)
 
     def test_spec_workers_round_trip(self):
         cdss = CDSS("w", workers=4)

@@ -242,6 +242,25 @@ class TestDatabaseScopes:
             assert db.pending_index_ops() == 2
         assert db.pending_index_ops() == 0
 
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_settle_clock_matches_index_stats(self, policy):
+        db = Database(index_policy=policy)
+        for name in ("R", "S"):
+            inst = db.create(name, 1)
+            inst.ensure_index([0])
+        for value in range(3):
+            with db.defer_maintenance():
+                db["R"].insert((value,))
+                db["S"].insert((value,))
+                db["R"].lookup([0], (value,))
+        stats = db.index_stats()
+        assert db.settle_clock() == (
+            stats["settle_wall_seconds"],
+            stats["settle_cpu_seconds"],
+        )
+        if policy == POLICY_DEFERRED:
+            assert db.settle_clock()[0] > 0.0
+
 
 class TestEngineBarriers:
     @pytest.mark.parametrize("policy", POLICIES)
